@@ -22,7 +22,7 @@ use std::sync::Arc;
 use wbsn_core::link::SessionHandshake;
 use wbsn_core::Result;
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::solver::{Fista, FistaConfig, FistaState};
+use wbsn_cs::solver::{Fista, FistaConfig, FistaState, FistaWorkspace};
 use wbsn_gateway::{MatrixCache, MatrixKey};
 use wbsn_sigproc::stats::prd_percent;
 
@@ -108,6 +108,8 @@ pub fn replay_reconstruction(
 ) -> Result<SolverReplayReport> {
     let cache = MatrixCache::new();
     let fista = Fista::new(cfg.solver);
+    // One workspace for the whole pass, shared by every session.
+    let mut ws = FistaWorkspace::new();
     let every = cfg.reconstruct_every.max(1);
     let mut sessions: BTreeMap<u64, SessStream> = BTreeMap::new();
     let mut report = SolverReplayReport {
@@ -192,7 +194,8 @@ pub fn replay_reconstruction(
                     } else {
                         None
                     };
-                    let solve = fista.solve(enc.sensing_matrix(), &y_scratch, warm)?;
+                    let solve =
+                        fista.solve_with(enc.sensing_matrix(), &y_scratch, warm, &mut ws)?;
                     report.windows_solved += 1;
                     report.solver_iters += solve.iters as u64;
                     let n = hs.cs_window as usize;

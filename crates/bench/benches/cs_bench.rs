@@ -3,7 +3,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::joint::{GroupFista, GroupFistaConfig};
-use wbsn_cs::solver::{Fista, FistaConfig};
+use wbsn_cs::solver::{Fista, FistaConfig, FistaWorkspace};
 use wbsn_sigproc::SparseTernaryMatrix;
 
 fn window(n: usize) -> Vec<i32> {
@@ -29,8 +29,16 @@ fn bench_cs(c: &mut Criterion) {
         max_iters: 50,
         ..FistaConfig::default()
     });
+    // Cold 50-iteration solve on the gateway's path: one reused
+    // workspace, measurements converted once.
+    let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
+    let mut ws = FistaWorkspace::new();
     g.bench_function("fista_50it_512", |b| {
-        b.iter(|| fista.reconstruct(black_box(&enc), black_box(&y)).unwrap())
+        b.iter(|| {
+            fista
+                .solve_with(enc.sensing_matrix(), black_box(&yf), None, &mut ws)
+                .unwrap()
+        })
     });
     let phis: Vec<SparseTernaryMatrix> = (0..3)
         .map(|l| SparseTernaryMatrix::random(256, 512, 4, 50 + l).unwrap())

@@ -2,7 +2,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wbsn_sigproc::morphology::{dilate, erode, mmd_transform_unscaled, MorphologicalFilter};
-use wbsn_sigproc::wavelet::{wavedec, waverec, AtrousQspline, Wavelet};
+use wbsn_sigproc::wavelet::{wavedec_into, waverec_into, AtrousQspline, DwtScratch, Wavelet};
 
 fn signal(n: usize) -> Vec<i32> {
     (0..n).map(|i| ((i * 37) % 211) as i32 - 100).collect()
@@ -22,12 +22,18 @@ fn bench_kernels(c: &mut Criterion) {
     let t = AtrousQspline::new(4).unwrap();
     g.bench_function("atrous_l4_10s", |b| b.iter(|| t.transform(black_box(&x))));
     let xf: Vec<f64> = (0..512).map(|i| (i as f64 * 0.13).sin()).collect();
+    // The CS reconstruction kernels, as FISTA runs them: caller-owned
+    // output and reused inter-level scratch.
+    let mut out = vec![0.0; xf.len()];
+    let mut scratch = DwtScratch::default();
     g.bench_function("wavedec_db4_512", |b| {
-        b.iter(|| wavedec(black_box(&xf), Wavelet::Db4, 5).unwrap())
+        b.iter(|| wavedec_into(black_box(&xf), Wavelet::Db4, 5, &mut out, &mut scratch).unwrap())
     });
-    let coeffs = wavedec(&xf, Wavelet::Db4, 5).unwrap();
+    let coeffs = out.clone();
     g.bench_function("waverec_db4_512", |b| {
-        b.iter(|| waverec(black_box(&coeffs), Wavelet::Db4, 5).unwrap())
+        b.iter(|| {
+            waverec_into(black_box(&coeffs), Wavelet::Db4, 5, &mut out, &mut scratch).unwrap()
+        })
     });
     g.finish();
 }

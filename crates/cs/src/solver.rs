@@ -9,7 +9,7 @@
 
 use crate::encoder::CsEncoder;
 use crate::{CsError, Result};
-use wbsn_sigproc::wavelet::{wavedec, waverec, Wavelet};
+use wbsn_sigproc::wavelet::{wavedec_into, waverec_into, DwtScratch, Wavelet};
 use wbsn_sigproc::SparseTernaryMatrix;
 
 /// FISTA configuration.
@@ -70,13 +70,19 @@ impl Default for FistaConfig {
 ///
 /// The state is only valid for a fixed `(Φ, FistaConfig)` pair —
 /// [`FistaState::reset`] it when the sensing matrix changes (the
-/// gateway does so on any handshake change). A state whose cached
-/// shapes disagree with the solve at hand is ignored and rebuilt, so
-/// a stale state can degrade speed, never correctness.
+/// gateway does so on any handshake change). Both cached values are
+/// stored with the operator shape `(m, n)` they were computed for; a
+/// solve of any other shape drops them and starts cold, so a stale
+/// state can degrade speed, never correctness.
+///
+/// The state holds no solver buffers: those live in one
+/// [`FistaWorkspace`] per solving thread, shared by every stream it
+/// serves.
 #[derive(Debug, Clone, Default)]
 pub struct FistaState {
-    /// Cached Lipschitz constant of `AᵀA` (`None` until first solve).
-    lip: Option<f64>,
+    /// Operator shape `(m, n)` and the Lipschitz constant of `AᵀA`
+    /// cached for it (`None` until the first solve).
+    lip: Option<((usize, usize), f64)>,
     /// Previous solution in the coefficient domain.
     warm: Vec<f64>,
 }
@@ -93,9 +99,90 @@ impl FistaState {
         self.warm.clear();
     }
 
-    /// True when the next solve will start cold.
+    /// True when the state holds no warm vector (fresh or reset). A
+    /// state cached for another operator shape also solves cold.
     pub fn is_cold(&self) -> bool {
         self.warm.is_empty()
+    }
+}
+
+/// Working memory of [`Fista::solve_with`]: every iterate, gradient
+/// and operator temporary of one solve, plus the DWT ping-pong
+/// buffers. Sized lazily from the operator shape `(m, n)` and reused,
+/// so a warm solve allocates nothing but its returned window.
+///
+/// Own one per solving thread (a gateway worker, a replay pass), not
+/// one per session: the contents never outlive a solve, so its memory
+/// does not grow with the number of streams.
+#[derive(Debug, Clone, Default)]
+pub struct FistaWorkspace {
+    dwt: DwtScratch,
+    /// Current iterate `a` (coefficient domain, `n`).
+    a: Vec<f64>,
+    /// Next iterate `a⁺` (`n`); the power iteration's vector.
+    a_next: Vec<f64>,
+    /// Extrapolated point `z` (`n`).
+    z: Vec<f64>,
+    /// Gradient `Aᵀ(Az − y)`, or `Aᵀy` before the loop (`n`).
+    grad: Vec<f64>,
+    /// Signal-domain temporary between Ψ and Φ (`n`).
+    sig: Vec<f64>,
+    /// Measurement-domain `Az`, then the residual `Az − y` (`m`).
+    resid: Vec<f64>,
+}
+
+impl FistaWorkspace {
+    /// Empty workspace; the first solve sizes it.
+    pub fn new() -> Self {
+        FistaWorkspace::default()
+    }
+
+    fn fit(&mut self, m: usize, n: usize) {
+        for v in [
+            &mut self.a,
+            &mut self.a_next,
+            &mut self.z,
+            &mut self.grad,
+            &mut self.sig,
+        ] {
+            v.resize(n, 0.0);
+        }
+        self.resid.resize(m, 0.0);
+    }
+}
+
+/// `A = ΦΨ` and its adjoint over caller-owned buffers.
+struct Operator<'a> {
+    phi: &'a SparseTernaryMatrix,
+    wavelet: Wavelet,
+    levels: usize,
+}
+
+impl Operator<'_> {
+    /// `out = Φ Ψ coef`, through the signal-domain temporary `sig`.
+    fn apply(
+        &self,
+        coef: &[f64],
+        sig: &mut [f64],
+        dwt: &mut DwtScratch,
+        out: &mut [f64],
+    ) -> Result<()> {
+        waverec_into(coef, self.wavelet, self.levels, sig, dwt)?;
+        self.phi.apply_into(sig, out);
+        Ok(())
+    }
+
+    /// `out = Ψᵀ Φᵀ r` (Ψ orthonormal), through `sig`.
+    fn apply_t(
+        &self,
+        r: &[f64],
+        sig: &mut [f64],
+        dwt: &mut DwtScratch,
+        out: &mut [f64],
+    ) -> Result<()> {
+        self.phi.apply_t_into(r, sig);
+        wavedec_into(sig, self.wavelet, self.levels, out, dwt)?;
+        Ok(())
     }
 }
 
@@ -164,8 +251,7 @@ impl Fista {
         Ok(self.solve(phi, y, None)?.x)
     }
 
-    /// The solver core: cold when `state` is `None` (or fresh),
-    /// warm-started otherwise.
+    /// [`Fista::solve_with`] on a one-off workspace.
     ///
     /// # Errors
     ///
@@ -176,6 +262,24 @@ impl Fista {
         y: &[f64],
         state: Option<&mut FistaState>,
     ) -> Result<FistaSolve> {
+        self.solve_with(phi, y, state, &mut FistaWorkspace::new())
+    }
+
+    /// The solver core: cold when `state` is `None` (or fresh, or
+    /// cached for another shape), warm-started otherwise. Every buffer
+    /// comes from `ws`, so once it is sized a solve allocates only the
+    /// returned window.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Fista::reconstruct`].
+    pub fn solve_with(
+        &self,
+        phi: &SparseTernaryMatrix,
+        y: &[f64],
+        mut state: Option<&mut FistaState>,
+        ws: &mut FistaWorkspace,
+    ) -> Result<FistaSolve> {
         let n = phi.cols();
         let m = phi.rows();
         if y.len() != m {
@@ -185,35 +289,56 @@ impl Fista {
                 got: y.len(),
             });
         }
-        if n % (1 << self.cfg.levels) != 0 {
+        // `levels` can arrive from an archive header: a shift past the
+        // word size is an error, not an overflow.
+        let block = u32::try_from(self.cfg.levels)
+            .ok()
+            .and_then(|l| 1usize.checked_shl(l));
+        if block.is_none_or(|b| n % b != 0) {
             return Err(CsError::InvalidParameter {
                 what: "levels",
                 detail: format!("window {n} not divisible by 2^{}", self.cfg.levels),
             });
         }
-        let w = self.cfg.wavelet;
-        let lv = self.cfg.levels;
-        // A a  = Φ Ψ a ; Aᵀ r = Ψᵀ Φᵀ r (Ψ orthonormal).
-        let apply = |a: &[f64]| -> Result<Vec<f64>> { Ok(phi.apply(&waverec(a, w, lv)?)) };
-        let apply_t = |r: &[f64]| -> Result<Vec<f64>> { Ok(wavedec(&phi.apply_t(r), w, lv)?) };
+        if let Some(s) = state.as_deref_mut() {
+            if s.lip.is_some_and(|(shape, _)| shape != (m, n)) {
+                s.reset();
+            }
+        }
+        ws.fit(m, n);
+        let FistaWorkspace {
+            dwt,
+            a,
+            a_next,
+            z,
+            grad,
+            sig,
+            resid,
+        } = ws;
+        let op = Operator {
+            phi,
+            wavelet: self.cfg.wavelet,
+            levels: self.cfg.levels,
+        };
 
         // Lipschitz constant of ∇f via power iteration on AᵀA — a
         // property of the fixed operator, so a warm state pays it once
         // per stream.
-        let cached_lip = state.as_ref().and_then(|s| s.lip);
+        let cached_lip = state.as_ref().and_then(|s| s.lip).map(|(_, l)| l);
         let lip = match cached_lip {
             Some(l) => l,
             None => {
-                let mut v = vec![1.0; n];
+                let v = &mut *a_next;
+                v.fill(1.0);
                 let mut lam = 1.0f64;
                 for _ in 0..12 {
-                    let av = apply(&v)?;
-                    let atav = apply_t(&av)?;
-                    lam = atav.iter().map(|x| x * x).sum::<f64>().sqrt();
+                    op.apply(v, sig, dwt, resid)?;
+                    op.apply_t(resid, sig, dwt, grad)?;
+                    lam = grad.iter().map(|x| x * x).sum::<f64>().sqrt();
                     if lam <= 0.0 {
                         break;
                     }
-                    for (vi, &ai) in v.iter_mut().zip(&atav) {
+                    for (vi, &ai) in v.iter_mut().zip(grad.iter()) {
                         *vi = ai / lam;
                     }
                 }
@@ -222,32 +347,33 @@ impl Fista {
         };
         let step = 1.0 / lip;
 
-        let aty = apply_t(y)?;
-        let linf = aty.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
+        op.apply_t(y, sig, dwt, grad)?;
+        let linf = grad.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
         let lambda = self.cfg.lambda_rel * linf;
+        let thresh = step * lambda;
 
-        // Warm start: the previous window's solution, when its shape
-        // matches this solve (a mismatched state is stale — ignore it).
-        let mut a = match state.as_ref() {
-            Some(s) if s.warm.len() == n => s.warm.clone(),
-            _ => vec![0.0; n],
-        };
-        let mut z = a.clone();
+        // Warm start: the previous window's solution (the shape check
+        // above already dropped a state cached for another operator).
+        match state.as_ref() {
+            Some(s) if s.warm.len() == n => a.copy_from_slice(&s.warm),
+            _ => a.fill(0.0),
+        }
+        z.copy_from_slice(a);
         let mut t = 1.0f64;
         let mut prev_norm = 0.0f64;
         let mut iters = 0usize;
         for _ in 0..self.cfg.max_iters {
             iters += 1;
-            let az = apply(&z)?;
-            let resid: Vec<f64> = az.iter().zip(y).map(|(p, q)| p - q).collect();
-            let grad = apply_t(&resid)?;
-            let mut a_next: Vec<f64> = z
-                .iter()
-                .zip(&grad)
-                .map(|(&zi, &gi)| soft_threshold(zi - step * gi, step * lambda))
-                .collect();
+            op.apply(z, sig, dwt, resid)?;
+            for (r, &q) in resid.iter_mut().zip(y) {
+                *r -= q;
+            }
+            op.apply_t(resid, sig, dwt, grad)?;
+            for ((an, &zi), &gi) in a_next.iter_mut().zip(z.iter()).zip(grad.iter()) {
+                *an = soft_threshold(zi - step * gi, thresh);
+            }
             if self.cfg.tree_model {
-                enforce_tree(&mut a_next, n, lv);
+                enforce_tree(a_next, n, self.cfg.levels);
             }
             // Gradient restart: when the momentum direction `a⁺ − a`
             // opposes the step the prox-gradient actually took from z,
@@ -255,8 +381,8 @@ impl Fista {
             if self.cfg.restart {
                 let overshoot: f64 = z
                     .iter()
-                    .zip(&a_next)
-                    .zip(&a)
+                    .zip(a_next.iter())
+                    .zip(a.iter())
                     .map(|((&zi, &an), &ao)| (zi - an) * (an - ao))
                     .sum();
                 if overshoot > 0.0 {
@@ -265,29 +391,29 @@ impl Fista {
             }
             let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
             let beta = (t - 1.0) / t_next;
-            z = a_next
-                .iter()
-                .zip(&a)
-                .map(|(&an, &ao)| an + beta * (an - ao))
-                .collect();
+            for ((zi, &an), &ao) in z.iter_mut().zip(a_next.iter()).zip(a.iter()) {
+                *zi = an + beta * (an - ao);
+            }
             let change: f64 = a_next
                 .iter()
-                .zip(&a)
+                .zip(a.iter())
                 .map(|(x, y)| (x - y) * (x - y))
                 .sum::<f64>()
                 .sqrt();
             let norm: f64 = a_next.iter().map(|x| x * x).sum::<f64>().sqrt();
-            a = a_next;
+            core::mem::swap(a, a_next);
             t = t_next;
             if norm > 0.0 && change / norm.max(prev_norm) < self.cfg.tol {
                 break;
             }
             prev_norm = norm;
         }
-        let x = waverec(&a, w, lv)?;
+        let mut x = vec![0.0; n];
+        waverec_into(a, self.cfg.wavelet, self.cfg.levels, &mut x, dwt)?;
         if let Some(s) = state {
-            s.lip = Some(lip);
-            s.warm = a;
+            s.lip = Some(((m, n), lip));
+            s.warm.clear();
+            s.warm.extend_from_slice(a);
         }
         Ok(FistaSolve { x, iters })
     }
@@ -408,6 +534,19 @@ mod tests {
     }
 
     #[test]
+    fn rejects_levels_past_the_word_size() {
+        let enc = CsEncoder::new(128, 64, 4, 1).unwrap();
+        let y = enc.encode(&vec![0; 128]).unwrap();
+        for levels in [64, 200] {
+            let solver = Fista::new(FistaConfig {
+                levels,
+                ..FistaConfig::default()
+            });
+            assert!(solver.reconstruct(&enc, &y).is_err(), "levels {levels}");
+        }
+    }
+
+    #[test]
     fn rejects_wrong_measurement_length() {
         let enc = CsEncoder::new(128, 64, 4, 1).unwrap();
         let solver = Fista::new(FistaConfig::default());
@@ -482,6 +621,34 @@ mod tests {
         let ys = small.encode(&xs).unwrap();
         let warm = solver.reconstruct_warm(&small, &ys, &mut state).unwrap();
         let cold = solver.reconstruct(&small, &ys).unwrap();
+        let warm_bits: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
+        let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(warm_bits, cold_bits);
+    }
+
+    #[test]
+    fn stale_state_shape_is_dropped_without_reset() {
+        // The same shape change as above, but nobody calls reset(): the
+        // cached Lipschitz constant belongs to the 256-window operator
+        // and must be dropped along with the warm vector.
+        let solver = Fista::new(FistaConfig::default());
+        let big = CsEncoder::new(256, 128, 4, 5).unwrap();
+        let mut state = FistaState::new();
+        let y = big.encode(&ecg_like(256)).unwrap();
+        solver.reconstruct_warm(&big, &y, &mut state).unwrap();
+        let small = CsEncoder::new(128, 64, 4, 5).unwrap();
+        let ys = small.encode(&ecg_like(128)).unwrap();
+        let warm = solver.reconstruct_warm(&small, &ys, &mut state).unwrap();
+        let cold = solver.reconstruct(&small, &ys).unwrap();
+        let warm_bits: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
+        let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(warm_bits, cold_bits);
+        // Same window length, different measurement count: the warm
+        // vector fits but belongs to another operator.
+        let other = CsEncoder::new(128, 48, 4, 9).unwrap();
+        let yo = other.encode(&ecg_like(128)).unwrap();
+        let warm = solver.reconstruct_warm(&other, &yo, &mut state).unwrap();
+        let cold = solver.reconstruct(&other, &yo).unwrap();
         let warm_bits: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
         let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
         assert_eq!(warm_bits, cold_bits);

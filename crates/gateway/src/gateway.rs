@@ -38,7 +38,7 @@ use wbsn_core::link::{
 use wbsn_core::{Payload, WbsnError};
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::omp::{Omp, OmpConfig};
-use wbsn_cs::solver::{Fista, FistaConfig, FistaState};
+use wbsn_cs::solver::{Fista, FistaConfig, FistaState, FistaWorkspace};
 use wbsn_sigproc::stats::prd_percent;
 
 /// Which `wbsn-cs` decoder the gateway runs per CS window.
@@ -390,8 +390,6 @@ struct SessionState {
     windows: BTreeMap<(u8, u32), Vec<f64>>,
     // Optional per-lead reference signals for PRD reporting.
     references: BTreeMap<u8, LeadReference>,
-    // Reused measurement buffer.
-    y_scratch: Vec<i64>,
 }
 
 impl SessionState {
@@ -419,14 +417,15 @@ impl SessionState {
             fista: Vec::new(),
             windows: BTreeMap::new(),
             references: BTreeMap::new(),
-            y_scratch: Vec::new(),
         })
     }
 }
 
 #[derive(Debug)]
 enum SolverImpl {
-    Fista(Fista),
+    /// FISTA plus the gateway's one solver workspace, shared by every
+    /// session this gateway (one shard worker) serves.
+    Fista(Fista, FistaWorkspace),
     Omp(Omp),
 }
 
@@ -434,21 +433,17 @@ impl SolverImpl {
     /// Reconstructs one window, warm-started when a state is given.
     /// Returns the samples plus the iterations spent (0 for OMP).
     fn reconstruct(
-        &self,
+        &mut self,
         enc: &CsEncoder,
-        y: &[i64],
+        y: &[f64],
         state: Option<&mut FistaState>,
     ) -> Result<(Vec<f64>, usize)> {
         match self {
-            SolverImpl::Fista(f) => {
-                let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
-                let solve = f.solve(enc.sensing_matrix(), &yf, state)?;
+            SolverImpl::Fista(f, ws) => {
+                let solve = f.solve_with(enc.sensing_matrix(), y, state, ws)?;
                 Ok((solve.x, solve.iters))
             }
-            SolverImpl::Omp(o) => {
-                let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
-                Ok((o.reconstruct(enc.sensing_matrix(), &yf)?, 0))
-            }
+            SolverImpl::Omp(o) => Ok((o.reconstruct(enc.sensing_matrix(), y)?, 0)),
         }
     }
 }
@@ -458,6 +453,8 @@ impl SolverImpl {
 pub struct Gateway {
     cfg: GatewayConfig,
     solver: SolverImpl,
+    /// Reused solver input: one window's measurements as `f64`.
+    y_scratch: Vec<f64>,
     cache: Arc<MatrixCache>,
     sessions: BTreeMap<u64, SessionState>,
     stats: GatewayStats,
@@ -490,12 +487,15 @@ impl Gateway {
         cfg.reorder_window = cfg.reorder_window.max(1);
         cfg.reconstruct_every = cfg.reconstruct_every.max(1);
         let solver = match cfg.solver {
-            ReconstructionSolver::Fista(f) => SolverImpl::Fista(Fista::new(f)),
+            ReconstructionSolver::Fista(f) => {
+                SolverImpl::Fista(Fista::new(f), FistaWorkspace::new())
+            }
             ReconstructionSolver::Omp(o) => SolverImpl::Omp(Omp::new(o)),
         };
         Gateway {
             cfg,
             solver,
+            y_scratch: Vec::new(),
             cache,
             sessions: BTreeMap::new(),
             stats: GatewayStats::default(),
@@ -1088,16 +1088,17 @@ impl Gateway {
                         enc
                     }
                 };
-                state.y_scratch.clear();
-                state
-                    .y_scratch
-                    .extend(measurements.iter().map(|&v| v as i64));
+                // i16 → f64 in one step through i64, the value path
+                // replay mirrors (every value is exact).
+                self.y_scratch.clear();
+                self.y_scratch
+                    .extend(measurements.iter().map(|&v| v as i64 as f64));
                 let warm = if self.cfg.warm_start {
                     Some(&mut state.fista[lead as usize])
                 } else {
                     None
                 };
-                let (xr, iters) = self.solver.reconstruct(&enc, &state.y_scratch, warm)?;
+                let (xr, iters) = self.solver.reconstruct(&enc, &self.y_scratch, warm)?;
                 self.stats.solver_iters += iters as u64;
                 let n = hs.cs_window as usize;
                 let prd = state.references.get(&lead).and_then(|reference| {

@@ -378,17 +378,16 @@ impl PackedTernaryMatrix {
 /// random rows of each column. Encoding `y = Φx` costs `n·d` signed
 /// additions — the ultra-low-power CS encoder of references \[4\]/\[16\].
 ///
-/// Stored in **CSC layout split by sign**: column `c`'s non-zero row
-/// indices occupy `row_idx[col_ptr[c]..col_ptr[c+1]]`, positives first
-/// (`pos_len[c]` of them) then negatives. The encode kernel is a pure
-/// add/sub sweep over two contiguous index runs per column — no sign
-/// values are stored, loaded or multiplied.
+/// Stored in **CSC layout split by sign**: every column holds exactly
+/// `d` entries, so column `c`'s non-zero row indices occupy
+/// `row_idx[c·d..(c+1)·d]`, positives first (`pos_len[c]` of them) then
+/// negatives. The encode kernel is a pure add/sub sweep over two
+/// contiguous index runs per column — no sign values are stored,
+/// loaded or multiplied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseTernaryMatrix {
     rows: usize,
     cols: usize,
-    /// CSC column extents into `row_idx` (`cols + 1` entries).
-    col_ptr: Vec<u32>,
     /// Count of positive entries at the head of each column's run.
     pos_len: Vec<u32>,
     /// Row indices, per column: positives first, then negatives.
@@ -417,12 +416,10 @@ impl SparseTernaryMatrix {
             });
         }
         let mut rng = XorShift64::new(seed);
-        let mut col_ptr = Vec::with_capacity(cols + 1);
         let mut pos_len = Vec::with_capacity(cols);
         let mut row_idx = Vec::with_capacity(cols * d_per_col);
         let mut scratch: Vec<u32> = Vec::with_capacity(d_per_col);
         let mut negs: Vec<u32> = Vec::with_capacity(d_per_col);
-        col_ptr.push(0);
         for _ in 0..cols {
             scratch.clear();
             // Rejection-sample d distinct rows (RNG consumption is
@@ -444,12 +441,10 @@ impl SparseTernaryMatrix {
             }
             pos_len.push((d_per_col - negs.len()) as u32);
             row_idx.extend_from_slice(&negs);
-            col_ptr.push(row_idx.len() as u32);
         }
         Ok(SparseTernaryMatrix {
             rows,
             cols,
-            col_ptr,
             pos_len,
             row_idx,
             d_per_col,
@@ -471,13 +466,15 @@ impl SparseTernaryMatrix {
         self.d_per_col
     }
 
-    /// Column `c`'s row indices as `(positives, negatives)` slices.
+    /// Every column's row indices as `(positives, negatives)` slices,
+    /// in column order: fixed-size `d_per_col` chunks of `row_idx`, so
+    /// no per-column offsets are loaded.
     #[inline]
-    fn column(&self, c: usize) -> (&[u32], &[u32]) {
-        let start = self.col_ptr[c] as usize;
-        let end = self.col_ptr[c + 1] as usize;
-        let split = start + self.pos_len[c] as usize;
-        (&self.row_idx[start..split], &self.row_idx[split..end])
+    fn columns(&self) -> impl Iterator<Item = (&[u32], &[u32])> {
+        self.row_idx
+            .chunks_exact(self.d_per_col)
+            .zip(&self.pos_len)
+            .map(|(run, &pos)| run.split_at(pos as usize))
     }
 
     /// Integer encode `y = Φ x` into a caller-owned buffer (cleared and
@@ -505,9 +502,8 @@ impl SparseTernaryMatrix {
         assert_eq!(x.len(), self.cols, "apply shape");
         assert_eq!(y.len(), self.rows, "apply output shape");
         y.fill(0);
-        for (col, &xv) in x.iter().enumerate() {
+        for (&xv, (pos, neg)) in x.iter().zip(self.columns()) {
             let xv = xv as i64;
-            let (pos, neg) = self.column(col);
             for &r in pos {
                 y[r as usize] += xv;
             }
@@ -531,16 +527,29 @@ impl SparseTernaryMatrix {
         y
     }
 
-    /// Float encode `y = Φ x`.
+    /// Float encode `y = Φ x`. Allocating wrapper over
+    /// [`SparseTernaryMatrix::apply_into`].
     ///
     /// # Panics
     ///
     /// Panics when `x.len() != cols`.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "apply shape");
         let mut y = vec![0.0; self.rows];
-        for (col, &xv) in x.iter().enumerate() {
-            let (pos, neg) = self.column(col);
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// Float encode `y = Φ x` into a caller-owned `y` (zeroed first):
+    /// each `y[r]` accumulates its terms in ascending column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != cols` or `y.len() != rows`.
+    pub fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "apply shape");
+        assert_eq!(y.len(), self.rows, "apply output shape");
+        y.fill(0.0);
+        for (&xv, (pos, neg)) in x.iter().zip(self.columns()) {
             for &r in pos {
                 y[r as usize] += xv;
             }
@@ -548,32 +557,42 @@ impl SparseTernaryMatrix {
                 y[r as usize] -= xv;
             }
         }
-        y
     }
 
-    /// Adjoint `Φᵀ y`.
+    /// Adjoint `Φᵀ y`. Allocating wrapper over
+    /// [`SparseTernaryMatrix::apply_t_into`].
     ///
     /// # Panics
     ///
     /// Panics when `y.len() != rows`.
     pub fn apply_t(&self, y: &[f64]) -> Vec<f64> {
-        assert_eq!(y.len(), self.rows, "apply_t shape");
         let mut x = vec![0.0; self.cols];
-        for (col, out) in x.iter_mut().enumerate() {
-            let (pos, neg) = self.column(col);
+        self.apply_t_into(y, &mut x);
+        x
+    }
+
+    /// Adjoint `Φᵀ y` into a caller-owned `x`: `x[c]` is the sum of
+    /// column `c`'s positive-row entries of `y` minus the sum of its
+    /// negative-row entries, each an iterator `.sum()` in stored order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `y.len() != rows` or `x.len() != cols`.
+    pub fn apply_t_into(&self, y: &[f64], x: &mut [f64]) {
+        assert_eq!(y.len(), self.rows, "apply_t shape");
+        assert_eq!(x.len(), self.cols, "apply_t output shape");
+        for (out, (pos, neg)) in x.iter_mut().zip(self.columns()) {
             let p: f64 = pos.iter().map(|&r| y[r as usize]).sum();
             let n: f64 = neg.iter().map(|&r| y[r as usize]).sum();
             *out = p - n;
         }
-        x
     }
 
     /// Expands to dense (verification only).
     pub fn to_dense(&self) -> DenseMatrix {
         // wbsn-allow(no-panic): rows/cols are >= 1 by construction (checked in the constructor), and this expand is a verification-only helper
         let mut m = DenseMatrix::zeros(self.rows, self.cols).expect("non-zero dims");
-        for col in 0..self.cols {
-            let (pos, neg) = self.column(col);
+        for (col, (pos, neg)) in self.columns().enumerate() {
             for &r in pos {
                 *m.at_mut(r as usize, col) += 1.0;
             }

@@ -47,27 +47,24 @@ impl Wavelet {
 
     /// Wavelet (high-pass) decomposition filter via the quadrature
     /// mirror relation `g[n] = (-1)^n h[L-1-n]`.
-    pub fn wavelet_filter(self) -> Vec<f64> {
-        let h = self.scaling_filter();
-        let l = h.len();
-        (0..l)
-            .map(|n| {
-                let sign = if n % 2 == 0 { 1.0 } else { -1.0 };
-                sign * h[l - 1 - n]
-            })
-            .collect()
+    pub fn wavelet_filter(self) -> &'static [f64] {
+        match self {
+            Wavelet::Haar => &HAAR_G,
+            Wavelet::Db2 => &DB2_G,
+            Wavelet::Db4 => &DB4_G,
+        }
     }
 }
 
 const SQRT2_INV: f64 = core::f64::consts::FRAC_1_SQRT_2;
-static HAAR: [f64; 2] = [SQRT2_INV, SQRT2_INV];
-static DB2: [f64; 4] = [
+const HAAR: [f64; 2] = [SQRT2_INV, SQRT2_INV];
+const DB2: [f64; 4] = [
     0.48296291314469025,
     0.836516303737469,
     0.22414386804185735,
     -0.12940952255092145,
 ];
-static DB4: [f64; 8] = [
+const DB4: [f64; 8] = [
     0.23037781330885523,
     0.7148465705525415,
     0.6308807679295904,
@@ -77,99 +74,279 @@ static DB4: [f64; 8] = [
     0.032883011666982945,
     -0.010597401784997278,
 ];
+const HAAR_G: [f64; 2] = quadrature_mirror(&HAAR);
+const DB2_G: [f64; 4] = quadrature_mirror(&DB2);
+const DB4_G: [f64; 8] = quadrature_mirror(&DB4);
+
+/// `g[n] = (-1)^n h[L-1-n]`, evaluated once at compile time. Negation
+/// is exact, so every tap equals the floating-point `±1.0 · h` product.
+const fn quadrature_mirror<const L: usize>(h: &[f64; L]) -> [f64; L] {
+    let mut g = [0.0; L];
+    let mut n = 0;
+    while n < L {
+        g[n] = if n % 2 == 0 {
+            h[L - 1 - n]
+        } else {
+            -h[L - 1 - n]
+        };
+        n += 1;
+    }
+    g
+}
+
+/// Reusable working memory for [`wavedec_into`]/[`waverec_into`]: the
+/// approximation ping-pong buffers between levels. Sized on first use
+/// and reused afterwards, so a warm caller allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct DwtScratch {
+    buf: Vec<f64>,
+}
+
+/// Shared shape check of the multi-level transforms.
+fn check_shape(what: &'static str, len: usize, out_len: usize, levels: usize) -> Result<()> {
+    if levels == 0 {
+        return Err(SigprocError::InvalidParameter {
+            what: "levels",
+            detail: "must be >= 1",
+        });
+    }
+    if len == 0 || levels >= usize::BITS as usize || len % (1 << levels) != 0 {
+        return Err(SigprocError::InvalidLength { what, got: len });
+    }
+    if out_len != len {
+        return Err(SigprocError::InvalidLength {
+            what: "DWT output (must match the input length)",
+            got: out_len,
+        });
+    }
+    Ok(())
+}
 
 /// Multi-level periodized DWT (analysis). Returns coefficients packed
 /// as `[a_L | d_L | d_{L-1} | ... | d_1]`, total length = input length.
 ///
 /// This is the orthonormal analysis operator Ψᵀ; [`waverec`] is its
-/// exact inverse (and adjoint) Ψ.
+/// exact inverse (and adjoint) Ψ. Allocating wrapper over
+/// [`wavedec_into`].
 ///
 /// # Errors
 ///
 /// The input length must be divisible by `2^levels` and `levels ≥ 1`.
 pub fn wavedec(x: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
-    if levels == 0 {
-        return Err(SigprocError::InvalidParameter {
-            what: "levels",
-            detail: "must be >= 1",
-        });
-    }
-    if x.is_empty() || x.len() % (1 << levels) != 0 {
-        return Err(SigprocError::InvalidLength {
-            what: "wavedec input (must be divisible by 2^levels)",
-            got: x.len(),
-        });
-    }
-    let h = wavelet.scaling_filter();
-    let g = wavelet.wavelet_filter();
-    let mut approx = x.to_vec();
-    let mut details: Vec<Vec<f64>> = Vec::with_capacity(levels);
-    for _ in 0..levels {
-        let n = approx.len();
-        let half = n / 2;
-        let mut a = vec![0.0; half];
-        let mut d = vec![0.0; half];
-        for k in 0..half {
-            let mut sa = 0.0;
-            let mut sd = 0.0;
-            for (j, (&hj, &gj)) in h.iter().zip(&g).enumerate() {
-                let idx = (2 * k + j) % n;
-                sa += hj * approx[idx];
-                sd += gj * approx[idx];
-            }
-            a[k] = sa;
-            d[k] = sd;
-        }
-        details.push(d);
-        approx = a;
-    }
-    let mut out = approx;
-    for d in details.into_iter().rev() {
-        out.extend(d);
-    }
+    let mut out = vec![0.0; x.len()];
+    wavedec_into(x, wavelet, levels, &mut out, &mut DwtScratch::default())?;
     Ok(out)
 }
 
+/// [`wavedec`] into a caller-owned `out` (same length as `x`), with
+/// the inter-level buffers in `scratch`: no allocation once the
+/// scratch is sized. Bit-identical to [`wavedec`].
+///
+/// # Errors
+///
+/// Same conditions as [`wavedec`], plus `out.len() != x.len()`.
+pub fn wavedec_into(
+    x: &[f64],
+    wavelet: Wavelet,
+    levels: usize,
+    out: &mut [f64],
+    scratch: &mut DwtScratch,
+) -> Result<()> {
+    check_shape(
+        "wavedec input (must be divisible by 2^levels)",
+        x.len(),
+        out.len(),
+        levels,
+    )?;
+    match wavelet {
+        Wavelet::Haar => analysis::<2>(&HAAR, &HAAR_G, x, levels, out, &mut scratch.buf),
+        Wavelet::Db2 => analysis::<4>(&DB2, &DB2_G, x, levels, out, &mut scratch.buf),
+        Wavelet::Db4 => analysis::<8>(&DB4, &DB4_G, x, levels, out, &mut scratch.buf),
+    }
+    Ok(())
+}
+
+/// Multi-level analysis: level `l` reads the previous approximation,
+/// writes its detail band straight into `out[len/2..len]` and its
+/// approximation into a ping-pong half of `buf` (the last level writes
+/// it to `out[..len/2]`).
+fn analysis<const L: usize>(
+    h: &[f64; L],
+    g: &[f64; L],
+    x: &[f64],
+    levels: usize,
+    out: &mut [f64],
+    buf: &mut Vec<f64>,
+) {
+    let n = x.len();
+    buf.resize(n, 0.0);
+    let (mut cur, mut next) = buf.split_at_mut(n / 2);
+    for lev in 0..levels {
+        let len = n >> lev;
+        let half = len / 2;
+        let (a_out, rest) = out.split_at_mut(half);
+        let d_out = &mut rest[..half];
+        let src: &[f64] = if lev == 0 { x } else { &cur[..len] };
+        if lev + 1 == levels {
+            analysis_level(h, g, src, a_out, d_out);
+        } else {
+            analysis_level(h, g, src, &mut next[..half], d_out);
+            core::mem::swap(&mut cur, &mut next);
+        }
+    }
+}
+
+/// One periodized analysis level: `a[k] = Σ_j h[j]·x[(2k+j) mod n]`
+/// (and `d[k]` with `g`), summed in ascending `j` from a `+0.0` seed.
+/// Outputs whose taps stay inside `x` run modulo-free; only the last
+/// few wrap, stepping their index back to 0 at `n`.
+fn analysis_level<const L: usize>(
+    h: &[f64; L],
+    g: &[f64; L],
+    x: &[f64],
+    a: &mut [f64],
+    d: &mut [f64],
+) {
+    let n = x.len();
+    let mut k = 0;
+    for ((ak, dk), w) in a.iter_mut().zip(d.iter_mut()).zip(x.windows(L).step_by(2)) {
+        let mut sa = 0.0;
+        let mut sd = 0.0;
+        for ((&hj, &gj), &xv) in h.iter().zip(g).zip(w) {
+            sa += hj * xv;
+            sd += gj * xv;
+        }
+        *ak = sa;
+        *dk = sd;
+        k += 1;
+    }
+    for (ak, dk) in a.iter_mut().zip(d.iter_mut()).skip(k) {
+        let mut idx = 2 * k;
+        let mut sa = 0.0;
+        let mut sd = 0.0;
+        for (&hj, &gj) in h.iter().zip(g) {
+            sa += hj * x[idx];
+            sd += gj * x[idx];
+            idx += 1;
+            if idx == n {
+                idx = 0;
+            }
+        }
+        *ak = sa;
+        *dk = sd;
+        k += 1;
+    }
+}
+
 /// Multi-level periodized inverse DWT (synthesis), inverse of
-/// [`wavedec`] with the same `wavelet` and `levels`.
+/// [`wavedec`] with the same `wavelet` and `levels`. Allocating wrapper
+/// over [`waverec_into`].
 ///
 /// # Errors
 ///
 /// Same length constraints as [`wavedec`].
 pub fn waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
-    if levels == 0 {
-        return Err(SigprocError::InvalidParameter {
-            what: "levels",
-            detail: "must be >= 1",
-        });
+    let mut out = vec![0.0; coeffs.len()];
+    waverec_into(
+        coeffs,
+        wavelet,
+        levels,
+        &mut out,
+        &mut DwtScratch::default(),
+    )?;
+    Ok(out)
+}
+
+/// [`waverec`] into a caller-owned `out` (same length as `coeffs`),
+/// with the inter-level buffers in `scratch`: no allocation once the
+/// scratch is sized. Bit-identical to [`waverec`].
+///
+/// # Errors
+///
+/// Same conditions as [`waverec`], plus `out.len() != coeffs.len()`.
+pub fn waverec_into(
+    coeffs: &[f64],
+    wavelet: Wavelet,
+    levels: usize,
+    out: &mut [f64],
+    scratch: &mut DwtScratch,
+) -> Result<()> {
+    check_shape(
+        "waverec input (must be divisible by 2^levels)",
+        coeffs.len(),
+        out.len(),
+        levels,
+    )?;
+    match wavelet {
+        Wavelet::Haar => synthesis::<2>(&HAAR, &HAAR_G, coeffs, levels, out, &mut scratch.buf),
+        Wavelet::Db2 => synthesis::<4>(&DB2, &DB2_G, coeffs, levels, out, &mut scratch.buf),
+        Wavelet::Db4 => synthesis::<8>(&DB4, &DB4_G, coeffs, levels, out, &mut scratch.buf),
     }
+    Ok(())
+}
+
+/// Multi-level synthesis, coarsest level first: each level reads the
+/// current approximation from one ping-pong half of `buf` and writes
+/// the next into the other (the finest level writes `out`).
+fn synthesis<const L: usize>(
+    h: &[f64; L],
+    g: &[f64; L],
+    coeffs: &[f64],
+    levels: usize,
+    out: &mut [f64],
+    buf: &mut Vec<f64>,
+) {
     let n = coeffs.len();
-    if n == 0 || n % (1 << levels) != 0 {
-        return Err(SigprocError::InvalidLength {
-            what: "waverec input (must be divisible by 2^levels)",
-            got: n,
-        });
-    }
-    let h = wavelet.scaling_filter();
-    let g = wavelet.wavelet_filter();
     let coarsest = n >> levels;
-    let mut approx = coeffs[..coarsest].to_vec();
+    buf.resize(n, 0.0);
+    let (mut cur, mut next) = buf.split_at_mut(n / 2);
+    cur[..coarsest].copy_from_slice(&coeffs[..coarsest]);
     let mut offset = coarsest;
     for lev in (0..levels).rev() {
         let dn = n >> (lev + 1);
         let d = &coeffs[offset..offset + dn];
         offset += dn;
-        let out_n = dn * 2;
-        let mut out = vec![0.0; out_n];
-        for k in 0..dn {
-            for (j, (&hj, &gj)) in h.iter().zip(&g).enumerate() {
-                let idx = (2 * k + j) % out_n;
-                out[idx] += hj * approx[k] + gj * d[k];
+        if lev == 0 {
+            synthesis_level(h, g, &cur[..dn], d, out);
+        } else {
+            synthesis_level(h, g, &cur[..dn], d, &mut next[..2 * dn]);
+            core::mem::swap(&mut cur, &mut next);
+        }
+    }
+}
+
+/// One periodized synthesis level: for ascending `k`, then ascending
+/// `j`, `out[(2k+j) mod n] += h[j]·a[k] + g[j]·d[k]` onto a zeroed
+/// `out`. Splitting `k` into a modulo-free interior and a short
+/// wrapped tail keeps that order, so every output accumulates its
+/// terms in the same sequence as the single wrapped loop.
+fn synthesis_level<const L: usize>(
+    h: &[f64; L],
+    g: &[f64; L],
+    a: &[f64],
+    d: &[f64],
+    out: &mut [f64],
+) {
+    let n = out.len();
+    out.fill(0.0);
+    // Inputs whose taps land inside `out`: 2k + L - 1 < n.
+    let interior = if n >= L { (n - L) / 2 + 1 } else { 0 };
+    for (k, (&ak, &dk)) in a.iter().zip(d).enumerate().take(interior) {
+        let o = &mut out[2 * k..2 * k + L];
+        for ((ov, &hj), &gj) in o.iter_mut().zip(h).zip(g) {
+            *ov += hj * ak + gj * dk;
+        }
+    }
+    for (k, (&ak, &dk)) in a.iter().zip(d).enumerate().skip(interior) {
+        let mut idx = 2 * k;
+        for (&hj, &gj) in h.iter().zip(g) {
+            out[idx] += hj * ak + gj * dk;
+            idx += 1;
+            if idx == n {
+                idx = 0;
             }
         }
-        approx = out;
     }
-    Ok(approx)
 }
 
 /// Integer à-trous quadratic-spline dyadic wavelet transform.
@@ -384,7 +561,7 @@ mod tests {
             let h = w.scaling_filter();
             let g = w.wavelet_filter();
             // Orthogonality of h and g.
-            let dot: f64 = h.iter().zip(&g).map(|(a, b)| a * b).sum();
+            let dot: f64 = h.iter().zip(g).map(|(a, b)| a * b).sum();
             assert!(dot.abs() < 1e-12, "{w:?}");
             // Unit norm.
             let nh: f64 = h.iter().map(|v| v * v).sum();

@@ -16,6 +16,11 @@
 //! capacity, appending an epoch block performs zero heap allocations,
 //! so memory stays O(epoch) at any recording length.
 //!
+//! The gateway's CS reconstruction (`wbsn-cs`) keeps its iterates and
+//! operator temporaries in one reused `FistaWorkspace`: once that and
+//! the stream's warm state are sized, a FISTA solve allocates exactly
+//! once, for the window it returns.
+//!
 //! All scenarios live in ONE `#[test]` so the counter is never
 //! polluted by a concurrently running test.
 //!
@@ -33,6 +38,8 @@ use wbsn_archive::{ArchiveWriter, EpochItem, EpochRecord, RunMeta};
 use wbsn_core::fleet::NodeFleet;
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
+use wbsn_cs::encoder::CsEncoder;
+use wbsn_cs::solver::{Fista, FistaConfig, FistaState, FistaWorkspace};
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
 
@@ -189,5 +196,52 @@ fn steady_state_ingest_is_allocation_free() {
         writer_allocs, 0,
         "steady-state ArchiveWriter::epoch allocated {writer_allocs} times over 16 \
          appends; the recording hot path must reuse its scratch buffers"
+    );
+
+    // ---- 4. Warm FISTA solve: with the workspace and the warm state
+    // sized, each solve allocates exactly once — the returned window.
+    let n = 512;
+    let enc = CsEncoder::new(n, 256, 4, 0x5EED).expect("valid CS shape");
+    let lead0: Vec<i32> = ecg.chunks_exact(3).map(|f| f[0]).collect();
+    let ys: Vec<Vec<f64>> = lead0
+        .chunks_exact(n)
+        .map(|w| {
+            let y = enc.encode(w).expect("encodes");
+            y.iter().map(|&v| v as f64).collect()
+        })
+        .collect();
+    assert!(ys.len() >= 4, "need a few windows, got {}", ys.len());
+    // The gateway's solver settings.
+    let fista = Fista::new(FistaConfig {
+        lambda_rel: 0.001,
+        max_iters: 800,
+        tol: 3e-5,
+        restart: true,
+        ..FistaConfig::default()
+    });
+    let mut ws = FistaWorkspace::new();
+    let mut state = FistaState::new();
+    // Warm-up: sizes the workspace and fills the warm state.
+    for y in &ys {
+        fista
+            .solve_with(enc.sensing_matrix(), y, Some(&mut state), &mut ws)
+            .expect("solves");
+    }
+    let mut iters = 0;
+    let before = allocs();
+    for y in &ys {
+        let solve = fista
+            .solve_with(enc.sensing_matrix(), y, Some(&mut state), &mut ws)
+            .expect("solves");
+        iters += solve.iters;
+    }
+    let solver_allocs = allocs() - before;
+    assert!(iters > 0);
+    assert_eq!(
+        solver_allocs,
+        ys.len() as u64,
+        "{} warm FISTA solves ({iters} iterations) allocated {solver_allocs} times; \
+         each may allocate only the window it returns",
+        ys.len()
     );
 }
