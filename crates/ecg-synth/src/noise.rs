@@ -89,7 +89,7 @@ impl NoiseConfig {
             let trace = match kind {
                 NoiseKind::BaselineWander => baseline_wander(n, fs_hz, rng),
                 NoiseKind::Powerline => powerline(n, fs_hz, rng),
-                NoiseKind::Emg => emg(n, fs_hz, rng),
+                NoiseKind::Emg => emg(n, rng),
                 NoiseKind::ElectrodeMotion => electrode_motion(n, fs_hz, rng),
             };
             let p = power(&trace);
@@ -161,8 +161,7 @@ fn powerline(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
 
 /// Broadband EMG: white Gaussian noise high-passed by first difference
 /// then lightly smoothed (concentrates energy in the 20–100 Hz band).
-fn emg(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
-    let _ = fs_hz;
+fn emg(n: usize, rng: &mut StdRng) -> Vec<f64> {
     let white: Vec<f64> = (0..n + 2).map(|_| gauss(rng)).collect();
     (0..n)
         .map(|i| {
@@ -274,7 +273,7 @@ mod tests {
     fn baseline_wander_is_slow() {
         // Mean absolute first difference must be far smaller than for EMG.
         let bw = baseline_wander(5000, 250.0, &mut rng(3));
-        let em = emg(5000, 250.0, &mut rng(4));
+        let em = emg(5000, &mut rng(4));
         let diff = |x: &[f64]| {
             x.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>()
                 / ((x.len() - 1) as f64 * power(x).sqrt())

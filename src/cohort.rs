@@ -27,18 +27,24 @@
 //! Everything is deterministic: the entire run — gateway events,
 //! downlink bytes, retransmit accounting, every report number — is a
 //! pure function of the plans, and replays bit-identically at any
-//! gateway worker count (`tests/cohort_determinism.rs` pins 1/2/4).
+//! worker count (`tests/cohort_determinism.rs` pins 1/2/4 and uneven
+//! splits). The workers synthesize each hour's segments in parallel,
+//! but the control thread loads them, and drives every node, gateway
+//! and archive step, in node order.
 //!
 //! Memory stays bounded by construction: sessions run in batches of
 //! [`CohortRunConfig::batch_sessions`], each node holds only its
-//! current hour's record, per-segment PRD references supersede each
-//! other on the gateway
+//! current hour's segment (the interleaved frames and rhythm spans of
+//! its record), at most [`CohortRunConfig::workers`] full records are
+//! in flight while a batch's hour is synthesized, per-segment PRD
+//! references supersede each other on the gateway
 //! ([`attach_reference_at`](wbsn_gateway::ShardedGateway::attach_reference_at)
 //! prunes windows behind the new offset), and finished sessions are
 //! [`close_session`](wbsn_gateway::ShardedGateway::close_session)ed
 //! before the next batch starts.
 
 use std::io::Write;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use wbsn_archive::{
     ArchiveWriter, EpochItem, EpochRecord, RunMeta, RunTrailer, SessionEnd, SessionMeta,
 };
@@ -49,11 +55,11 @@ use wbsn_core::monitor::MonitorBuilder;
 use wbsn_core::retransmit::{
     DirectiveHandler, RetransmitBuffer, RetransmitConfig, RetransmitEvent,
 };
-use wbsn_core::Result;
+use wbsn_core::{Result, WbsnError};
 use wbsn_cs::solver::FistaConfig;
 use wbsn_ecg_synth::cohort::{CohortConfig, CohortGenerator, PatientProfile, RhythmBurden};
 use wbsn_ecg_synth::scenario::{Adversity, Script};
-use wbsn_ecg_synth::{Record, RhythmLabel};
+use wbsn_ecg_synth::{RhythmLabel, RhythmSpan};
 use wbsn_gateway::channel::{ChannelConfig, DuplexChannel};
 use wbsn_gateway::controller::ControllerConfig;
 use wbsn_gateway::gateway::{GatewayConfig, GatewayEvent, ReconstructionSolver, SessionReport};
@@ -88,7 +94,9 @@ pub struct SessionPlan {
 pub struct CohortRunConfig {
     /// The cohort to generate (see [`CohortConfig`]).
     pub cohort: CohortConfig,
-    /// Gateway decode workers (≥ 1). The report is invariant in this.
+    /// Workers (≥ 1): the gateway's decode workers, and the threads
+    /// that synthesize each batch's hour segments. The report is
+    /// invariant in this.
     pub workers: usize,
     /// Sessions run concurrently per batch (bounds peak memory).
     pub batch_sessions: usize,
@@ -498,10 +506,14 @@ impl CohortRunner {
         let hours = batch.iter().map(|p| p.scripts.len()).max().unwrap_or(0);
 
         for hour in 0..hours {
-            // Load the hour's segment on every node that still has one.
-            for (node, plan) in nodes.iter_mut().zip(batch) {
-                if let Some(script) = plan.scripts.get(hour) {
-                    node.load_segment(script, gw)?;
+            // Synthesize the hour's segments on the workers, then load
+            // them on their nodes in node order.
+            let segments = fan_out(batch, self.cfg.workers, |plan| {
+                plan.scripts.get(hour).map(Segment::synthesize)
+            })?;
+            for (node, segment) in nodes.iter_mut().zip(segments) {
+                if let Some(segment) = segment {
+                    node.load_segment(segment, gw)?;
                 }
             }
             let pumps = nodes
@@ -1023,31 +1035,32 @@ impl NodeState {
         self.abs_frames as f64 / f64::from(self.fs)
     }
 
-    /// Synthesizes the hour's record, harvests ground truth, and
-    /// (re-)anchors the gateway PRD reference.
-    fn load_segment(&mut self, script: &Script, gw: &mut ShardedGateway) -> Result<()> {
-        let rec = script.record();
+    /// Makes an already synthesized hour segment current: harvests its
+    /// ground truth and (re-)anchors the gateway PRD reference.
+    fn load_segment(&mut self, segment: Segment, gw: &mut ShardedGateway) -> Result<()> {
         let base_s = self.abs_seconds();
-        self.harvest_truth(&rec, base_s);
-        self.seg = rec.interleaved_frames();
-        self.seg_frames = rec.n_samples();
+        self.harvest_truth(&segment, base_s);
+        self.seg = segment.frames;
+        self.seg_frames = segment.n_samples;
         self.seg_base_frames = self.abs_frames;
         if self.cs && self.seg_base_frames >= self.window_base_abs {
             // Window w of the current incarnation covers absolute
-            // samples [window_base_abs + w·n ..); the segment record
-            // covers [seg_base_frames ..). attach_reference_at maps
-            // between the two and prunes windows behind the offset.
+            // samples [window_base_abs + w·n ..); the segment covers
+            // [seg_base_frames ..). attach_reference_at maps between
+            // the two and prunes windows behind the offset.
+            let offset = self.seg_base_frames - self.window_base_abs;
+            let lead0 = self.seg.iter().step_by(segment.n_leads.max(1));
             gw.attach_reference_at(
                 self.session,
                 0,
-                self.seg_base_frames - self.window_base_abs,
-                rec.lead(0).iter().map(|&v| f64::from(v)).collect(),
+                offset,
+                lead0.clone().map(|&v| f64::from(v)).collect(),
             )?;
             if self.recording {
                 self.log.push(EpochItem::Reference {
                     lead: 0,
-                    offset: self.seg_base_frames - self.window_base_abs,
-                    samples: rec.lead(0).to_vec(),
+                    offset,
+                    samples: lead0.copied().collect(),
                 });
             }
         }
@@ -1056,9 +1069,9 @@ impl NodeState {
 
     /// Extends the session ground truth with the segment's AF and
     /// flutter spans (merged across adjacent spans later, at finish).
-    fn harvest_truth(&mut self, rec: &Record, base_s: f64) {
-        let fs = f64::from(rec.fs());
-        for span in rec.rhythm_spans() {
+    fn harvest_truth(&mut self, segment: &Segment, base_s: f64) {
+        let fs = f64::from(segment.fs);
+        for span in &segment.spans {
             let s = base_s + span.start_sample as f64 / fs;
             let e = base_s + span.end_sample as f64 / fs;
             let flutter = match span.label {
@@ -1307,6 +1320,91 @@ impl NodeState {
     }
 }
 
+/// One synthesized hour of a session, shrunk to what the runner keeps
+/// of its [`Record`](wbsn_ecg_synth::Record): the interleaved frames
+/// (lead 0 of which is a CS session's PRD reference) and the rhythm
+/// spans.
+struct Segment {
+    /// Frame-major interleaved samples.
+    frames: Vec<i32>,
+    n_samples: usize,
+    n_leads: usize,
+    fs: u32,
+    spans: Vec<RhythmSpan>,
+}
+
+impl Segment {
+    /// Synthesizes `script`'s record and drops everything the runner
+    /// does not use (the clean millivolt traces, annotations, beats),
+    /// so a worker holds at most one full record at a time.
+    fn synthesize(script: &Script) -> Segment {
+        let rec = script.record();
+        Segment {
+            frames: rec.interleaved_frames(),
+            n_samples: rec.n_samples(),
+            n_leads: rec.n_leads(),
+            fs: rec.fs(),
+            spans: rec.rhythm_spans().to_vec(),
+        }
+    }
+}
+
+/// Runs `job` over every item of `items` on up to `workers` threads
+/// and returns the results in item order, so the result never depends
+/// on the worker count. Workers claim items through one atomic index
+/// (items differ severalfold in cost); the calling thread is one of
+/// them. One worker, or one item, runs inline without a thread; a
+/// thread that cannot be spawned leaves its share to the others.
+///
+/// # Errors
+///
+/// [`WbsnError::WorkerLost`] when a job panics; no partial result is
+/// returned.
+fn fan_out<T, R, F>(items: &[T], workers: usize, job: F) -> Result<Vec<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = workers.min(items.len());
+    if threads <= 1 {
+        return Ok(items.iter().map(job).collect());
+    }
+    // The claim index publishes no data (items are shared read-only,
+    // results come back through the joins), so it may be relaxed.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, job(item)));
+        }
+    };
+    let mut shares = Vec::with_capacity(threads);
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads)
+            .map_while(|_| std::thread::Builder::new().spawn_scoped(scope, claim).ok())
+            .collect();
+        shares.push(std::panic::catch_unwind(std::panic::AssertUnwindSafe(claim)).ok());
+        // Join every worker, even after a loss, so no panic escapes
+        // the scope.
+        shares.extend(spawned.into_iter().map(|h| h.join().ok()));
+    });
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for (shard, share) in shares.into_iter().enumerate() {
+        for (i, r) in share.ok_or(WbsnError::WorkerLost { shard })? {
+            slots[i] = Some(r);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.ok_or(WbsnError::WorkerLost { shard: 0 }))
+        .collect()
+}
+
 /// Merges overlapping/adjacent `(start, end)` spans (gap ≤ `gap_s`).
 fn merge_spans(mut spans: Vec<(f64, f64)>, gap_s: f64) -> Vec<(f64, f64)> {
     spans.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -1321,4 +1419,60 @@ fn merge_spans(mut spans: Vec<(f64, f64)>, gap_s: f64) -> Vec<(f64, f64)> {
         out.push((s, e));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fan_out_keeps_item_order_at_any_worker_count() {
+        let items: Vec<u64> = (0..23).collect();
+        let want: Vec<u64> = items.iter().map(|v| v * v).collect();
+        for workers in [1usize, 2, 3, 8, 64] {
+            assert_eq!(fan_out(&items, workers, |v| v * v).unwrap(), want);
+        }
+        assert!(fan_out(&[] as &[u64], 4, |&v| v).unwrap().is_empty());
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_when_workers_interleave() {
+        // Items 0 and 1 start together on the two threads; item 1 then
+        // waits until item 3 is done, so the other thread runs 0, 2
+        // and 3. Results still come back in item order.
+        let start = std::sync::Barrier::new(2);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let done_rx = std::sync::Mutex::new(done_rx);
+        let out = fan_out(&[0u64, 1, 2, 3], 2, |&v| {
+            if v < 2 {
+                start.wait();
+            }
+            if v == 1 {
+                done_rx.lock().unwrap().recv().unwrap();
+            }
+            if v == 3 {
+                done_tx.send(()).unwrap();
+            }
+            v
+        })
+        .unwrap();
+        assert_eq!(out, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_panicking_job_is_a_typed_worker_loss() {
+        let items: Vec<u64> = (0..8).collect();
+        for workers in [2usize, 3, 8] {
+            let out = fan_out(&items, workers, |&v| {
+                if v == 5 {
+                    panic!("synthesis job died");
+                }
+                v
+            });
+            assert!(
+                matches!(out, Err(WbsnError::WorkerLost { .. })),
+                "{workers} workers: {out:?}"
+            );
+        }
+    }
 }

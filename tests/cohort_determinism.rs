@@ -4,8 +4,9 @@
 //! matters (different seeds give different cohorts).
 
 use proptest::prelude::*;
-use wbsn::cohort::{CohortRunConfig, CohortRunner};
+use wbsn::cohort::{CohortReport, CohortRunConfig, CohortRunner, SessionPlan};
 use wbsn_ecg_synth::cohort::CohortConfig;
+use wbsn_ecg_synth::scenario::Script;
 
 /// A reduced cohort that still exercises every moving part (CS
 /// patients, reboots, regimes) but keeps the property runs fast.
@@ -47,10 +48,22 @@ proptest! {
     }
 }
 
+/// The smoke cohort at `workers` and `batch_sessions`, recorded: the
+/// report plus the archive bytes.
+fn smoke_recorded(workers: usize, batch_sessions: usize) -> (CohortReport, Vec<u8>) {
+    CohortRunner::new(CohortRunConfig {
+        workers,
+        batch_sessions,
+        ..CohortRunConfig::smoke()
+    })
+    .run_recorded(Vec::new())
+    .unwrap()
+}
+
 #[test]
 fn worker_count_never_changes_the_report() {
     // The acceptance invariant: the CohortReport carries no trace of
-    // gateway parallelism, so sweeping the decode workers over
+    // gateway or synthesis parallelism, so sweeping the workers over
     // {1, 2, 4} must reproduce the exact same artifact.
     let reference = CohortRunner::new(CohortRunConfig {
         workers: 1,
@@ -72,4 +85,27 @@ fn worker_count_never_changes_the_report() {
         );
         assert_eq!(reference.to_json(), replay.to_json());
     }
+    // Uneven fan-out: a worker count that does not divide the batch,
+    // and one larger than the batch. Report and recording both match
+    // the single-worker run at the same batch size.
+    for (workers, batch_sessions) in [(3usize, 5usize), (4, 3)] {
+        let (want, want_bytes) = smoke_recorded(1, batch_sessions);
+        let (got, got_bytes) = smoke_recorded(workers, batch_sessions);
+        assert_eq!(
+            want, got,
+            "report diverged at {workers} workers, batches of {batch_sessions}"
+        );
+        assert!(
+            want_bytes == got_bytes,
+            "archive bytes diverged at {workers} workers, batches of {batch_sessions}"
+        );
+    }
+}
+
+#[test]
+fn plan_types_are_send_and_sync() {
+    // Synthesis workers read plans and scripts by shared reference.
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Script>();
+    assert_send_sync::<SessionPlan>();
 }
